@@ -46,6 +46,7 @@ type cuNode struct {
 	curMask   uint64
 	curMin    uva.Addr
 	votesBox  platform.Mailbox
+	votesWait []platform.Mailbox // {votesBox}, the awaitVotes wait set
 	voteCount map[uint64]int
 
 	routes   map[uint64]int
@@ -194,6 +195,7 @@ func (c *cuNode) bind() {
 		c.arena = c.sys.seqArena
 		ep := c.comm.Endpoint()
 		c.votesBox = ep.Mailbox(platform.AnySource, tagCommitVoteBase+c.shard)
+		c.votesWait = []platform.Mailbox{c.votesBox}
 		ep.Mailbox(platform.AnySource, tagCtrl) // recovery epochs from any coordinator
 		c.voteCount = make(map[uint64]int)
 	} else {
@@ -380,23 +382,20 @@ func (c *cuNode) shardCommit(iter uint64, spanStart platform.Time, bulkBytes int
 func (c *cuNode) awaitVotes(key uint64, need int) {
 	have := c.voteCount[key]
 	delete(c.voteCount, key)
-	backoff := c.sys.cfg.PollMin
-	for have < need {
-		if msg, ok := c.comm.TryRecvBox(c.votesBox); ok {
+	c.sys.pollWait(c.proc, c.votesWait, func() bool {
+		for have < need {
+			msg, ok := c.comm.TryRecvBox(c.votesBox)
+			if !ok {
+				return false
+			}
 			if k := msg.Payload.(uint64); k == key {
 				have++
 			} else {
 				c.voteCount[k]++
 			}
-			continue
 		}
-		c.proc.Advance(backoff)
-		c.pollTime += backoff
-		c.voteWait += backoff
-		if backoff < c.sys.cfg.PollMax {
-			backoff *= 2
-		}
-	}
+		return true
+	}, &c.pollTime, &c.voteWait)
 }
 
 // followRecovery is the non-coordinator shard's side of a cross-shard
@@ -521,29 +520,24 @@ func (c *cuNode) routeOf(s int, iter uint64) int {
 	return c.sys.layout.Assign[s][0]
 }
 
-// consumeNext polls for the next entry, charging wait time both to the
+// consumeNext waits for the next entry, charging wait time both to the
 // total (pollTime) and to the caller's stall bucket: starvation when
 // waiting on worker store streams, verdict-wait when waiting on the
 // try-commit unit.
 func (c *cuNode) consumeNext(port *entryCursor, bucket *platform.Duration) Entry {
-	backoff := c.sys.cfg.PollMin
-	for {
-		if e, ok := port.tryNext(); ok {
-			return e
-		}
-		if c.hbBox != nil {
+	var e Entry
+	c.sys.pollWait(c.proc, port.waitOn, func() (ok bool) {
+		if e, ok = port.tryNext(); !ok && c.hbBox != nil {
 			// A stalled poll is exactly when a dead worker matters: either
 			// this stream is the crashed worker's, or someone upstream of it
-			// is transitively blocked on the crash.
+			// is transitively blocked on the crash. Crash plans are
+			// vtime-only, where a wait is a backoff whatever its mailboxes,
+			// so the liveness mailboxes need not join the wait set.
 			c.checkLiveness()
 		}
-		c.proc.Advance(backoff)
-		c.pollTime += backoff
-		*bucket += backoff
-		if backoff < c.sys.cfg.PollMax {
-			backoff *= 2
-		}
-	}
+		return ok
+	}, &c.pollTime, bucket)
+	return e
 }
 
 // checkLiveness drains liveness traffic and unwinds to crash recovery when

@@ -153,8 +153,9 @@ type Config struct {
 	// concurrent host workers stop contending on a single server goroutine).
 	PageServShards int
 
-	// PollMin/PollMax bound the adaptive backoff used at blocking points
-	// (the runtime polls so that control messages interrupt waits).
+	// PollMin/PollMax bound the doubling backoff of a blocking wait on
+	// vtime, where each Proc.Wait charges one backoff interval. They apply
+	// only to vtime: host and net waits park until a message arrives.
 	PollMin platform.Duration
 	PollMax platform.Duration
 

@@ -1,6 +1,9 @@
 package core
 
-import "dsmtx/internal/queue"
+import (
+	"dsmtx/internal/platform"
+	"dsmtx/internal/queue"
+)
 
 // entryCursor adapts a RecvPort to batch draining: one TryConsumeBatch
 // pulls every buffered entry at once — charging the same per-entry consume
@@ -14,10 +17,13 @@ type entryCursor struct {
 	port *queue.RecvPort[Entry]
 	buf  []Entry
 	pos  int
+	// waitOn is what a consumer blocked on this cursor waits for: the
+	// port's mailbox plus the owner's control mailbox, if any.
+	waitOn []platform.Mailbox
 }
 
-func newEntryCursor(port *queue.RecvPort[Entry]) *entryCursor {
-	return &entryCursor{port: port}
+func newEntryCursor(port *queue.RecvPort[Entry], ctrl ...platform.Mailbox) *entryCursor {
+	return &entryCursor{port: port, waitOn: append([]platform.Mailbox{port.Mailbox()}, ctrl...)}
 }
 
 // tryNext returns the next buffered entry, pulling a new batch from the

@@ -745,6 +745,8 @@ func (shadowProc) Advanced() platform.Duration { return 0 }
 func (shadowProc) Blocked() platform.Duration  { return 0 }
 func (shadowProc) Name() string                { return "setup.shadow" }
 
+func (shadowProc) Wait([]platform.Mailbox, platform.Duration) platform.Duration { return 0 }
+
 // startHeartbeats launches the liveness daemon of the crash-fault model: a
 // periodic kernel event that sends one 16-byte heartbeat per live worker
 // host to the commit unit every HeartbeatInterval. It deliberately runs

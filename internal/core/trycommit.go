@@ -100,7 +100,7 @@ func (t *tcNode) bind() {
 	t.view.ReleaseOnReset(true)
 	t.view.Instrument(t.sys.tr.Metrics())
 	for w := 0; w < t.sys.cfg.Workers(); w++ {
-		t.in = append(t.in, newEntryCursor(t.sys.toTCQ[w][t.shard].Receiver(t.comm)))
+		t.in = append(t.in, newEntryCursor(t.sys.toTCQ[w][t.shard].Receiver(t.comm), t.ctrlBox))
 	}
 	for k := 0; k < t.sys.cfg.commitShards(); k++ {
 		t.verdicts = append(t.verdicts, t.sys.verdictQ[t.shard][k].Sender(t.comm))
@@ -249,18 +249,14 @@ func (t *tcNode) routeOf(s int, iter uint64) int {
 }
 
 func (t *tcNode) consumeNext(port *entryCursor) Entry {
-	backoff := t.sys.cfg.PollMin
-	for {
-		if e, ok := port.tryNext(); ok {
-			return e
+	var e Entry
+	t.sys.pollWait(t.proc, port.waitOn, func() (ok bool) {
+		if e, ok = port.tryNext(); !ok {
+			t.checkCtrl()
 		}
-		t.checkCtrl()
-		t.proc.Advance(backoff)
-		t.pollTime += backoff
-		if backoff < t.sys.cfg.PollMax {
-			backoff *= 2
-		}
-	}
+		return ok
+	}, &t.pollTime)
+	return e
 }
 
 func (t *tcNode) checkCtrl() {

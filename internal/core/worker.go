@@ -50,6 +50,7 @@ type workerNode struct {
 	// Feeder-side dynamic routing (this worker feeds the routed stage).
 	feedsRouted bool
 	routedPool  []int
+	occWait     []platform.Mailbox // occupancy-ack and control mailboxes
 	outstanding []int
 	rrNext      int
 	curRoute    int
@@ -183,7 +184,7 @@ func (w *workerNode) bind() {
 				w.edgeIn[fromStage] = make(map[int]*entryCursor)
 				w.inStages = append(w.inStages, fromStage)
 			}
-			w.edgeIn[fromStage][src] = newEntryCursor(q.Receiver(w.comm))
+			w.edgeIn[fromStage][src] = newEntryCursor(q.Receiver(w.comm), w.ctrlBox)
 		}
 	}
 	sort.Ints(w.outStages)
@@ -198,14 +199,14 @@ func (w *workerNode) bind() {
 
 	if w.sys.cfg.Plan.Sync {
 		w.syncOut = w.sys.syncQ[w.tid].Sender(w.comm)
-		w.syncIn = newEntryCursor(w.sys.syncQ[w.sys.prevPool(w.tid)].Receiver(w.comm))
+		w.syncIn = newEntryCursor(w.sys.syncQ[w.sys.prevPool(w.tid)].Receiver(w.comm), w.ctrlBox)
 	}
 	if w.sys.routedStage >= 0 && w.stage == w.sys.routedStage-1 {
 		w.feedsRouted = true
 		w.routedPool = w.sys.layout.Assign[w.sys.routedStage]
 		w.outstanding = make([]int, len(w.routedPool))
 		if w.sys.cfg.Plan.Occupancy {
-			ep.Mailbox(platform.AnySource, tagOccAck)
+			w.occWait = []platform.Mailbox{ep.Mailbox(platform.AnySource, tagOccAck), w.ctrlBox}
 		}
 	}
 }
@@ -503,8 +504,7 @@ func (w *workerNode) chooseRoute(iter uint64) {
 		// member already holds OccWindow outstanding iterations, wait for
 		// a completion ack — the backpressure a bounded queue gives the
 		// paper's occupancy-based distributor.
-		backoff := w.sys.cfg.PollMin
-		for {
+		w.sys.pollWait(w.proc, w.occWait, func() bool {
 			for {
 				msg, ok := w.comm.TryRecv(platform.AnySource, tagOccAck)
 				if !ok {
@@ -525,17 +525,12 @@ func (w *workerNode) chooseRoute(iter uint64) {
 			}
 			if w.outstanding[best] < w.sys.cfg.OccWindow {
 				w.curRoute = best
-				break
+				return true
 			}
 			w.flushMarkers()
 			w.checkCtrl()
-			w.proc.Advance(backoff)
-			w.pollTime += backoff
-			w.stallBack += backoff
-			if backoff < w.sys.cfg.PollMax {
-				backoff *= 2
-			}
-		}
+			return false
+		}, &w.pollTime, &w.stallBack)
 	} else {
 		w.curRoute = w.rrNext % len(w.routedPool)
 	}
@@ -690,22 +685,17 @@ func (w *workerNode) forEachShardRange(addr uva.Addr, n int, fn func(a uva.Addr,
 	}
 }
 
-// consumeNext polls a queue with adaptive backoff, watching for the commit
+// consumeNext waits for the next entry on a queue, watching for the commit
 // unit's recovery broadcast so blocked workers always unwind.
 func (w *workerNode) consumeNext(port *entryCursor) Entry {
-	backoff := w.sys.cfg.PollMin
-	for {
-		if e, ok := port.tryNext(); ok {
-			return e
+	var e Entry
+	w.sys.pollWait(w.proc, port.waitOn, func() (ok bool) {
+		if e, ok = port.tryNext(); !ok {
+			w.checkCtrl()
 		}
-		w.checkCtrl()
-		w.proc.Advance(backoff)
-		w.pollTime += backoff
-		w.stallStarve += backoff
-		if backoff < w.sys.cfg.PollMax {
-			backoff *= 2
-		}
-	}
+		return ok
+	}, &w.pollTime, &w.stallStarve)
+	return e
 }
 
 // checkCtrl unwinds to the recovery handler if the commit unit has
@@ -792,30 +782,30 @@ func (w *workerNode) doCrash() (done bool) {
 	// this rank, so the commit unit cannot have moved further ahead.
 	preEpoch := w.epoch
 	rejoined := false
-	backoff := w.sys.cfg.PollMin
-	for {
-		if msg, ok := w.comm.TryRecvBox(w.ctrlBox); ok {
+	w.sys.pollWait(w.proc, []platform.Mailbox{w.ctrlBox}, func() bool {
+		for {
+			msg, ok := w.comm.TryRecvBox(w.ctrlBox)
+			if !ok {
+				break
+			}
 			cm := msg.Payload.(ctrlMsg)
 			if cm.done {
-				account()
+				done = true
 				return true
 			}
 			if cm.epoch > w.epoch {
 				w.pendingCtrl = &cm
-				account()
-				return false
+				return true
 			}
-			continue
 		}
 		if !rejoined {
 			w.comm.Send(w.sys.cfg.commitRank(), tagRejoin, preEpoch, 16)
 			rejoined = true
 		}
-		w.proc.Advance(backoff)
-		if backoff < w.sys.cfg.PollMax {
-			backoff *= 2
-		}
-	}
+		return false
+	})
+	account()
+	return done
 }
 
 // doRecovery is the worker side of §4.3: barrier, flush speculative queues,

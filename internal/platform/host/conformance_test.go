@@ -1,6 +1,7 @@
 package host
 
 import (
+	"fmt"
 	"testing"
 
 	"dsmtx/internal/platform"
@@ -31,5 +32,20 @@ func TestDeliveryConformance(t *testing.T) {
 		tr := trace.NewMetricsOnly()
 		h.SetTracer(tr)
 		return &hostWorld{producers: producers, h: h, tr: tr}
+	})
+}
+
+// hostWaitWorld runs the Wait conformance checks on one host platform.
+type hostWaitWorld struct{ h *Platform }
+
+func (w hostWaitWorld) Endpoint(rank int) platform.Endpoint { return w.h.Endpoint(rank) }
+func (w hostWaitWorld) Spawn(rank int, fn func(p platform.Proc)) {
+	w.h.Spawn(fmt.Sprintf("rank%d", rank), fn)
+}
+func (w hostWaitWorld) Run() error { return w.h.Run(0) }
+
+func TestWaitConformance(t *testing.T) {
+	platformtest.RunWait(t, func(t *testing.T, ranks int) platformtest.WaitWorld {
+		return hostWaitWorld{New(ranks, nil)}
 	})
 }

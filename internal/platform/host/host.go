@@ -31,11 +31,6 @@ import (
 	"dsmtx/internal/trace"
 )
 
-// sleepFloor is the shortest Advance the OS timer can honor usefully; below
-// it (poll backoffs are 100 ns–1.6 µs) Advance yields the processor instead
-// of sleeping, keeping poll loops responsive without busy-burning a core.
-const sleepFloor = 100 * platform.Microsecond
-
 // killSentinel unwinds a blocked process goroutine after another process
 // has failed, so Run can return instead of deadlocking.
 type killSentinel struct{}
@@ -75,8 +70,8 @@ type telemetry struct {
 	cCAS     *trace.Counter   // host.ring.cas.retry: producer claim retries under contention
 	cSpill   *trace.Counter   // host.ring.spill: messages spilled to an overflow list
 	cUnspill *trace.Counter   // host.ring.unspill: messages folded back from overflow
-	cSpinHit *trace.Counter   // host.recv.spin: blocking receives satisfied within the spin budget
-	cPark    *trace.Counter   // host.recv.park: blocking receives that parked
+	cSpinHit *trace.Counter   // host.recv.spin: waits (Recv or Wait) satisfied within the spin budget
+	cPark    *trace.Counter   // host.recv.park: waits (Recv or Wait) that parked
 	cWake    *trace.Counter   // host.recv.wake: wake tokens sent to parked receivers
 	gDepth   *trace.Gauge     // host.ring.depth: ring occupancy at enqueue (max = high-water)
 	hParkNs  *trace.Histogram // host.recv.park.ns: wall time per park
@@ -221,9 +216,11 @@ func (h *Platform) InstrTime(int64) platform.Duration { return 0 }
 // blocked process so Run can return it.
 func (h *Platform) Spawn(name string, fn func(p platform.Proc)) {
 	h.wg.Add(1)
-	p := &proc{h: h, name: name}
+	p := &proc{h: h, name: name, wake: make(chan struct{}, 1)}
 	go func() {
+		p.start = time.Now()
 		defer func() {
+			p.end = time.Now()
 			if r := recover(); r != nil {
 				if _, killed := r.(killSentinel); !killed {
 					h.fail(fmt.Errorf("host: process %q panicked: %v\n%s", name, r, debug.Stack()))
@@ -289,28 +286,46 @@ func (h *Platform) fail(err error) {
 	h.downOnce.Do(func() { close(h.down) })
 }
 
-// proc is a live goroutine's platform handle.
+// proc is a live goroutine's platform handle. It is also the process's
+// one waiter: every blocking wait — Wait on a mailbox set, Recv on one
+// mailbox — parks on its wake token (see park in ring.go).
 type proc struct {
 	h    *Platform
 	name string
+
+	// start and end bound the process's wall-clock life; end is set as the
+	// goroutine exits, so readers after Run see a frozen span. blocked is
+	// the wall time spent inside blocking receives. All three are touched
+	// only by the process itself and read after Run (or by the process).
+	start, end time.Time
+	blocked    platform.Duration
+
+	// armed is set just before the process parks on wake; a producer that
+	// clears it sends the single wake token.
+	armed atomic.Bool
+	wake  chan struct{}
 }
 
-// Advance spends d of wall time. Zero and negative durations (every
-// instruction charge on host) return immediately; short positive ones —
-// poll backoffs — yield the processor; long ones sleep. The failure check
-// unwinds poll loops that would otherwise spin after another process died.
+// Advance spends d of wall time: non-positive durations (every instruction
+// charge on host) return at once, positive ones sleep. The failure check
+// unwinds compute loops after another process died.
 func (p *proc) Advance(d platform.Duration) {
 	if p.h.failed.Load() {
 		panic(killSentinel{})
 	}
-	if d <= 0 {
-		return
+	if d > 0 {
+		time.Sleep(time.Duration(d))
 	}
-	if d < sleepFloor {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(time.Duration(d))
+}
+
+// Wait returns once one of boxes may hold a message, spinning briefly and
+// then parking; d (the vtime poll interval) plays no part. It reports the
+// wall time waited and unwinds with the kill sentinel if the platform
+// fails.
+func (p *proc) Wait(boxes []platform.Mailbox, _ platform.Duration) platform.Duration {
+	t0 := time.Now()
+	p.park(boxes)
+	return platform.Duration(time.Since(t0))
 }
 
 // Yield lets other goroutines run.
@@ -319,11 +334,18 @@ func (p *proc) Yield() { runtime.Gosched() }
 // Now reports wall-clock time since the platform started.
 func (p *proc) Now() platform.Time { return p.h.Now() }
 
-// Advanced is zero: host processes have no charged busy time.
-func (p *proc) Advanced() platform.Duration { return 0 }
+// Advanced is the process's wall-clock life so far (up to its exit) minus
+// the time it spent blocked in receives.
+func (p *proc) Advanced() platform.Duration {
+	end := p.end
+	if end.IsZero() {
+		end = time.Now()
+	}
+	return platform.Duration(end.Sub(p.start)) - p.blocked
+}
 
-// Blocked is zero: host processes have no accounted blocking time.
-func (p *proc) Blocked() platform.Duration { return 0 }
+// Blocked is the wall time spent inside blocking receives.
+func (p *proc) Blocked() platform.Duration { return p.blocked }
 
 // Name reports the process name given at Spawn.
 func (p *proc) Name() string { return p.name }

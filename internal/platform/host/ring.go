@@ -16,13 +16,14 @@
 //     drain under the same lock, which orders any ring entries published
 //     before a spill ahead of the spilled ones — and clears the flag.
 //
-//   - Parking. A receiver in blocking Recv spins through a bounded budget of
-//     polls (yielding the processor between attempts), then parks on a
-//     1-token wake channel. Producers notify only when they observe the
-//     parked flag — the empty→nonempty transition with a waiting consumer —
-//     so a busy consumer costs senders one atomic load, not a futex wake.
-//     The platform's down channel, closed on failure, unparks every blocked
-//     receiver so a dead peer cannot strand the rest.
+//   - Parking. A process waiting for messages — blocking Recv on one box,
+//     or Proc.Wait on a set of boxes — spins through a bounded budget of
+//     polls (yielding the processor between attempts), then parks on its
+//     own 1-token wake channel. Each box it waits on records it as the
+//     consumer; producers notify only when they observe that consumer
+//     armed, so a busy consumer costs senders two atomic loads, not a
+//     futex wake. The platform's down channel, closed on failure, unparks
+//     every blocked process so a dead peer cannot strand the rest.
 package host
 
 import (
@@ -44,9 +45,9 @@ const (
 	ringSize = 1 << ringBits
 	ringMask = ringSize - 1
 
-	// spinBudget is how many empty polls a blocking Recv tolerates before
-	// parking. Each iteration yields the processor, so the budget bounds
-	// scheduler pressure, not burned cycles.
+	// spinBudget is how many empty polls a wait tolerates before parking.
+	// Each iteration yields the processor, so the budget bounds scheduler
+	// pressure, not burned cycles.
 	spinBudget = 64
 )
 
@@ -74,14 +75,13 @@ type mailbox struct {
 	ovSet    atomic.Bool
 	overflow []platform.Message
 
-	// waiting is set by the consumer just before it parks on wake; a
-	// producer that clears it sends the single wake token.
-	waiting atomic.Bool
-	wake    chan struct{}
+	// consumer is the process that last waited on this box; enqueue wakes
+	// it if it is parked.
+	consumer atomic.Pointer[proc]
 }
 
 func newMailbox(e *endpoint, tag int, auto bool) *mailbox {
-	b := &mailbox{e: e, tag: tag, auto: auto, wake: make(chan struct{}, 1)}
+	b := &mailbox{e: e, tag: tag, auto: auto}
 	for i := range b.cells {
 		b.cells[i].seq.Store(uint64(i))
 	}
@@ -150,17 +150,25 @@ func (b *mailbox) spill(msg platform.Message) {
 }
 
 // notify wakes a parked consumer. While the consumer is running (the common
-// case) this is one atomic load.
+// case) this is two atomic loads.
 func (b *mailbox) notify() {
-	if b.waiting.Load() && b.waiting.CompareAndSwap(true, false) {
+	p := b.consumer.Load()
+	if p != nil && p.armed.Load() && p.armed.CompareAndSwap(true, false) {
 		if tel := b.e.h.tel; tel != nil {
 			tel.cWake.Inc()
 		}
 		select {
-		case b.wake <- struct{}{}:
+		case p.wake <- struct{}{}:
 		default:
 		}
 	}
+}
+
+// pending reports whether a message is ready for the consumer: the head
+// ring slot is published, or the overflow list is non-empty.
+func (b *mailbox) pending() bool {
+	pos := b.head.Load()
+	return b.cells[pos&ringMask].seq.Load() == pos+1 || b.ovSet.Load()
 }
 
 // tryDequeue pops the oldest available message. Single-consumer only.
@@ -240,60 +248,95 @@ func (b *mailbox) unspill() (platform.Message, bool) {
 	return msg, true
 }
 
-// Recv dequeues a message, spinning through the budget and then parking
-// until one arrives. It unwinds with the kill sentinel if the platform has
-// failed, so a dead peer cannot leave this process parked forever.
-func (b *mailbox) Recv(platform.Proc) (platform.Message, bool) {
-	h := b.e.h
+// Recv dequeues a message, parking its process until one arrives (see
+// park). The wall time past the first empty poll is the process's blocked
+// time. It unwinds with the kill sentinel if the platform has failed, so a
+// dead peer cannot leave this process parked forever.
+func (b *mailbox) Recv(p platform.Proc) (platform.Message, bool) {
+	if msg, ok := b.tryDequeue(); ok {
+		return msg, true
+	}
+	hp := p.(*proc)
+	t0 := time.Now()
+	boxes := [1]platform.Mailbox{b}
+	for {
+		hp.park(boxes[:])
+		if msg, ok := b.tryDequeue(); ok {
+			hp.blocked += platform.Duration(time.Since(t0))
+			return msg, true
+		}
+	}
+}
+
+// park returns once one of boxes has a message pending. It polls through
+// the spin budget, yielding between polls, then parks on the process's
+// wake token. It unwinds with the kill sentinel if the platform has
+// failed.
+func (p *proc) park(boxes []platform.Mailbox) {
+	h := p.h
 	tel := h.tel
 	for i := 0; i < spinBudget; i++ {
-		if msg, ok := b.tryDequeue(); ok {
-			if tel != nil && i > 0 {
+		if anyPending(boxes) {
+			if tel != nil {
 				tel.cSpinHit.Inc()
 			}
-			return msg, true
+			return
 		}
 		if h.failed.Load() {
 			panic(killSentinel{})
 		}
 		runtime.Gosched()
 	}
+	for _, b := range boxes {
+		b.(*mailbox).consumer.Store(p)
+	}
+	first := boxes[0].(*mailbox)
 	parked := false
 	var parkT0 time.Time
 	var spanT0 sim.Time
 	for {
-		// Publish intent to park, then re-check: a producer that enqueued
-		// after our last poll either sees waiting and sends the token, or
-		// published its message before our store — this final tryDequeue
-		// finds it. Either way no wakeup is lost.
-		b.waiting.Store(true)
-		if msg, ok := b.tryDequeue(); ok {
-			b.waiting.Store(false)
+		// Arm, then re-check: a producer that enqueued after our last poll
+		// either sees armed and sends the token, or published its message
+		// before our store — this final check finds it. Either way no
+		// wakeup is lost. (Registering as consumer came first, so a
+		// producer that saw no consumer published before the re-check.)
+		p.armed.Store(true)
+		if anyPending(boxes) {
+			p.armed.Store(false)
 			select {
-			case <-b.wake: // drop a token raced in by a producer
+			case <-p.wake: // drop a token raced in by a producer
 			default:
 			}
 			if parked {
-				b.endPark(parkT0, spanT0)
+				first.endPark(parkT0, spanT0)
 			}
-			return msg, true
+			return
 		}
 		if h.failed.Load() {
-			b.waiting.Store(false)
+			p.armed.Store(false)
 			panic(killSentinel{})
 		}
 		if tel != nil && !parked {
 			parked = true
 			tel.cPark.Inc()
-			b.e.del.parks.Add(1)
+			first.e.del.parks.Add(1)
 			parkT0 = time.Now()
 			spanT0 = tel.tr.Now()
 		}
 		select {
-		case <-b.wake:
+		case <-p.wake:
 		case <-h.down:
 		}
 	}
+}
+
+func anyPending(boxes []platform.Mailbox) bool {
+	for _, b := range boxes {
+		if b.(*mailbox).pending() {
+			return true
+		}
+	}
+	return false
 }
 
 // endPark closes out one park episode: wall time spent parked feeds the
@@ -301,9 +344,6 @@ func (b *mailbox) Recv(platform.Proc) (platform.Message, bool) {
 // are on) a recv.park span on the rank's track.
 func (b *mailbox) endPark(parkT0 time.Time, spanT0 sim.Time) {
 	tel := b.e.h.tel
-	if tel == nil {
-		return
-	}
 	d := time.Since(parkT0).Nanoseconds()
 	tel.hParkNs.Observe(d)
 	b.e.del.parkNs.Add(d)

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"fmt"
 	gonet "net"
 	"sync"
 	"testing"
@@ -80,5 +81,52 @@ func TestDeliveryConformance(t *testing.T) {
 		tr := trace.NewMetricsOnly()
 		p1.SetTracer(tr)
 		return &netWorld{producers: producers, p0: p0, p1: p1, tr: tr}
+	})
+}
+
+// netWaitWorld runs the Wait conformance checks across a two-daemon
+// loopback mesh: the producers live on daemon 0, the consumer on daemon 1,
+// so every wakeup the consumer waits for arrives through a TCP reader.
+type netWaitWorld struct{ p0, p1 *Platform }
+
+func (w netWaitWorld) home(rank int) *Platform {
+	if w.p0.LocalRank(rank) {
+		return w.p0
+	}
+	return w.p1
+}
+
+func (w netWaitWorld) Endpoint(rank int) platform.Endpoint { return w.home(rank).Endpoint(rank) }
+func (w netWaitWorld) Spawn(rank int, fn func(p platform.Proc)) {
+	w.home(rank).Spawn(fmt.Sprintf("rank%d", rank), fn)
+}
+
+func (w netWaitWorld) Run() error {
+	var err0 error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err0 = w.p0.Run(0)
+	}()
+	err1 := w.p1.Run(0)
+	<-done
+	if err1 != nil {
+		return err1
+	}
+	return err0
+}
+
+func TestWaitConformance(t *testing.T) {
+	platformtest.RunWait(t, func(t *testing.T, ranks int) platformtest.WaitWorld {
+		m0, m1 := twoMeshes(t)
+		p0, err := m0.Platform(0, ranks, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, err := m1.Platform(0, ranks, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return netWaitWorld{p0, p1}
 	})
 }

@@ -53,6 +53,10 @@ const ackEvery = 64
 // which backpressures workers against a slow link.
 const outDepth = 4096
 
+// closeLinger bounds how long Close waits for a peer to hang up after the
+// final flush before closing regardless.
+const closeLinger = 5 * time.Second
+
 // dialGiveUp bounds total redial time before the mesh declares the peer
 // unreachable and aborts the job. A variable so tests can shorten the
 // give-up window.
@@ -570,6 +574,44 @@ func (p *peer) writeLoop() {
 			fail(err)
 		}
 	}
+	// goodbye ends the live session on Close. Close can win the select
+	// while messages are still queued — the commit daemon closes right
+	// after its last sends, the final done broadcast among them — so they
+	// are all written and flushed before Goodbye, or remote ranks would
+	// wait forever for the last word.
+	goodbye := func() {
+		var err error
+		for drained := false; err == nil && !drained; {
+			select {
+			case om := <-p.out:
+				err = writeMsg(om)
+			default:
+				drained = true
+			}
+		}
+		if err == nil {
+			enc.Reset()
+			start := enc.BeginFrame(wire.FrameGoodbye)
+			enc.FinishFrame(start)
+			_, err = bw.Write(enc.Bytes())
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			p.m.logf("net: peer %d: flush at close: %v", p.idx, err)
+		}
+		// Half-close and let the peer hang up first: closing with its acks
+		// still unread would reset the connection, and a reset discards
+		// whatever the peer has not read yet.
+		if tc, ok := s.conn.(*gonet.TCPConn); ok && err == nil && tc.CloseWrite() == nil {
+			select {
+			case <-s.dead:
+			case <-time.After(closeLinger):
+			}
+		}
+		s.conn.Close()
+	}
 	for {
 		if s == nil {
 			select {
@@ -585,6 +627,16 @@ func (p *peer) writeLoop() {
 				trim(ack)
 				continue
 			case <-p.m.done:
+				// A session that attached just before Close still gets
+				// the queued messages.
+				select {
+				case ns := <-p.connCh:
+					adopt(ns)
+					if s != nil {
+						goodbye()
+					}
+				default:
+				}
 				return
 			}
 		}
@@ -623,12 +675,7 @@ func (p *peer) writeLoop() {
 		case <-s.dead:
 			fail(fmt.Errorf("net: connection to peer %d lost", p.idx))
 		case <-p.m.done:
-			enc.Reset()
-			start := enc.BeginFrame(wire.FrameGoodbye)
-			enc.FinishFrame(start)
-			bw.Write(enc.Bytes())
-			bw.Flush()
-			s.conn.Close()
+			goodbye()
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	gonet "net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,6 +235,55 @@ func TestReconnectReplay(t *testing.T) {
 	wg.Wait()
 	if recvErr != nil {
 		t.Fatal(recvErr)
+	}
+}
+
+// TestCloseFlushesQueuedFrames queues a burst of messages and closes the
+// sending mesh at once, as the commit daemon does after its final done
+// broadcast: Close must ship every queued frame before Goodbye, so the peer
+// receives all of them instead of parking forever on the missing tail.
+func TestCloseFlushesQueuedFrames(t *testing.T) {
+	const n = 4000 // below outDepth: every send queues without blocking
+	m0, m1 := twoMeshes(t)
+	p0, err := m0.Platform(0, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := m1.Platform(0, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got atomic.Int64
+	p0.Spawn("sink", func(pr platform.Proc) {
+		ep := p0.Endpoint(0)
+		ep.Send(1, 1, nil, 8) // the link is up once the source hears this
+		for got.Load() < n {
+			ep.Recv(pr, 1, 2)
+			got.Add(1)
+		}
+	})
+	p1.Spawn("source", func(pr platform.Proc) {
+		ep := p1.Endpoint(1)
+		ep.Recv(pr, 0, 1)
+		for i := 0; i < n; i++ {
+			ep.Send(0, 2, uint64(i), 8)
+		}
+	})
+	if err := p1.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	m1.Close()
+	done := make(chan error, 1)
+	go func() { done <- p0.Run(0) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		p0.Abort(fmt.Errorf("test timed out"))
+		<-done
+		t.Fatalf("peer received %d of %d messages sent before Close", got.Load(), n)
 	}
 }
 

@@ -134,22 +134,30 @@ func (t *TrafficStats) Add(o TrafficStats) {
 
 // Proc is the handle a runtime process uses to spend time and identify
 // itself. Under vtime it is a *sim.Proc (cooperative, virtual clock);
-// under host it is a live goroutine's handle (Advance yields or sleeps,
-// busy/blocked accounting is zero).
+// under host it is a live goroutine's handle (wall clock, Advance sleeps,
+// Wait parks).
 type Proc interface {
 	// Advance spends d of platform time: virtual time under vtime; under
-	// host, small durations yield the processor and large ones sleep.
-	// Non-positive durations yield without advancing the clock.
+	// host a positive d sleeps. Non-positive durations spend nothing.
 	Advance(d Duration)
+	// Wait is the runtime's one way to wait for a message: it returns once
+	// any mailbox in boxes (all owned by this process) may hold a message,
+	// and reports how long it waited. Under vtime it is exactly Advance(d)
+	// — one poll interval of the modelled backoff — and returns d; under
+	// host it spins briefly, then parks until a producer signals one of
+	// the boxes or the platform fails, and returns the wall time spent.
+	// Callers re-poll their boxes after every return.
+	Wait(boxes []Mailbox, d Duration) Duration
 	// Yield lets other runnable work proceed before resuming.
 	Yield()
 	// Now reports the current platform time.
 	Now() Time
-	// Advanced reports total time spent in Advance — busy time. Host
-	// processes report zero (there is no charged compute on host).
+	// Advanced reports busy time: under vtime, total time spent in
+	// Advance (Wait included); under host, the process's wall-clock life
+	// so far (up to its exit) minus Blocked — so on both backends
+	// Advanced + Blocked is the time the process has existed.
 	Advanced() Duration
-	// Blocked reports total time spent parked in blocking waits. Host
-	// processes report zero.
+	// Blocked reports total time spent parked in blocking receives.
 	Blocked() Duration
 	// Name reports the process name given at Spawn.
 	Name() string

@@ -373,5 +373,9 @@ func (r *RecvPort[T]) Abort(epoch uint64) {
 	r.epoch = epoch
 }
 
+// Mailbox exposes the port's data mailbox, so a consumer can wait on it
+// alongside other mailboxes.
+func (r *RecvPort[T]) Mailbox() platform.Mailbox { return r.box }
+
 // Consumed reports how many values this port has delivered.
 func (r *RecvPort[T]) Consumed() uint64 { return r.items }

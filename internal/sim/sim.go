@@ -425,5 +425,13 @@ func (p *Proc) Advance(d Duration) {
 	p.park("advance")
 }
 
+// Wait is one poll interval of a blocking wait: exactly Advance(d),
+// returning d. The kernel models waiting as the runtime's backoff loop, so
+// the mailboxes being waited on play no part in the timing.
+func (p *Proc) Wait(_ []platform.Mailbox, d Duration) Duration {
+	p.Advance(d)
+	return d
+}
+
 // Yield lets every other event at the current instant run before resuming.
 func (p *Proc) Yield() { p.Advance(0) }

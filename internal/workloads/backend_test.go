@@ -5,6 +5,7 @@ import (
 
 	"dsmtx/internal/core"
 	"dsmtx/internal/faults"
+	"dsmtx/internal/trace"
 )
 
 // The host backend runs the same DSMTX protocol as the vtime simulator but
@@ -90,5 +91,33 @@ func TestHostBackendRejectsVTimeOnlyFeatures(t *testing.T) {
 	cfg.Faults = &faults.Plan{Seed: 1, DropRate: 0.1}
 	if _, err := core.NewSystem(cfg, prog, nil); err == nil {
 		t.Fatal("host backend accepted a fault plan")
+	}
+}
+
+// TestHostStallRowsNonNegative pins the host stall attribution: busy time
+// is each rank's wall-clock life minus the waits it measured, so no row
+// can go negative — including ranks that wait through recovery and the
+// oversubscribed case, where a wait's wall time far exceeds its vtime
+// backoff.
+func TestHostStallRowsNonNegative(t *testing.T) {
+	b, err := ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunParallel(b, Input{Scale: 1, Seed: 42, MisspecRate: 0.02}, DSMTX, 16, func(cfg *core.Config) {
+		cfg.Backend = core.BackendHost
+		cfg.Tracer = trace.New()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stalls.Host || len(res.Stalls.Rows) == 0 {
+		t.Fatalf("no host stall rows (host=%v, %d rows)", res.Stalls.Host, len(res.Stalls.Rows))
+	}
+	for _, row := range res.Stalls.Rows {
+		if row.Busy < 0 {
+			t.Errorf("%s: busy %v < 0 (starvation %v, backpressure %v, verdict %v, recovery %v, blocked %v)",
+				row.Label, row.Busy, row.Starvation, row.Backpressure, row.VerdictWait, row.Recovery, row.Blocked)
+		}
 	}
 }

@@ -36,6 +36,10 @@ go test -race ./internal/engine/ ./cmd/dsmtxd/ ./cmd/dsmtxload/
 # package (mesh, reconnect replay, generation buffering) and the delivery
 # conformance suite run against both host and net mailboxes.
 go test -race ./internal/platform/... ./cmd/dsmtxrun/
+# The netrun coordinator and daemons run in-process here: one loopback
+# fleet serves 50 successive crc32 jobs (half with misspeculation), each
+# under a deadline, so a job-teardown race shows as a failure, not a hang.
+go test -race ./internal/netrun/
 # Backend equivalence covers vtime, host, and net: the Net tests re-exec
 # the (race-instrumented) test binary as a two-daemon loopback fleet, so
 # real multi-process TCP runs of crc32/blackscholes/164.gzip must reach the
@@ -56,4 +60,10 @@ go test -race ./internal/core/ -run TestCrossShard
 # sweep, and the core cross-shard tests ride along at both widths.
 GOMAXPROCS=2 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard'
 GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 'TestBackendEquivalence|TestCrossShard'
+# Proc.Wait is the one park mechanism of the live backends: its conformance
+# stress races every send against the waiter arming to park, so a lost
+# wakeup shows as a deadline failure. Pin it at both widths too (the vtime
+# run checks the same contract on the simulator).
+GOMAXPROCS=2 go test -race -count=1 ./internal/platform/... -run TestWaitConformance
+GOMAXPROCS=8 go test -race -count=1 ./internal/platform/... -run TestWaitConformance
 echo "verify: OK"
