@@ -719,9 +719,10 @@ func (s *System) publishSnapshots(img *mem.Image) {
 // arena-allocated addresses, cached layout — that every rank derives
 // identically because the allocation sequence is deterministic; only the
 // commit daemon's memory writes are authoritative, so the shadow run writes
-// into a throwaway image and workers read the real values back through
-// Copy-On-Access. Runs single-threaded before any rank spawns, mirroring
-// the tagStart barrier that orders the real Setup before worker execution.
+// into a throwaway image, skips input loading (LoadInput) altogether, and
+// workers read the real values back through Copy-On-Access. Runs
+// single-threaded before any rank spawns, mirroring the tagStart barrier
+// that orders the real Setup before worker execution.
 func (s *System) shadowSetup() {
 	if s.cfg.Backend != BackendNet {
 		return
@@ -730,8 +731,7 @@ func (s *System) shadowSetup() {
 	if !ok || lp.LocalRank(s.cfg.commitRank()) {
 		return
 	}
-	seq := &SeqCtx{cfg: s.cfg, proc: shadowProc{}, img: mem.NewImage(nil), arena: uva.NewArena(0), instr: s.instrTime}
-	s.prog.Setup(seq)
+	ShadowSetup(s.cfg, s.prog)
 }
 
 // shadowProc is the inert process behind shadowSetup: the shadow replay is
@@ -1088,6 +1088,8 @@ type SeqCtx struct {
 	// instr converts instructions to platform time; nil means the cluster
 	// clock (the pure sequential reference, which always runs in vtime).
 	instr func(int64) platform.Duration
+	// shadow marks a ShadowSetup replay, whose LoadInput calls do nothing.
+	shadow bool
 }
 
 // instrTime converts an instruction count to this context's platform time.
@@ -1141,7 +1143,8 @@ func (c *SeqCtx) StoreBytes(addr uva.Addr, b []byte) {
 }
 
 // Image exposes the underlying memory space for bulk, cost-free
-// initialization in Setup (e.g. loading input files); prefer Load/Store in
-// modelled code. With a single commit unit this is its *mem.Image; with a
-// sharded commit pipeline it is the federated per-shard view.
+// initialization in Setup (input files go through LoadInput instead);
+// prefer Load/Store in modelled code. With a single commit unit this is
+// its *mem.Image; with a sharded commit pipeline it is the federated
+// per-shard view.
 func (c *SeqCtx) Image() mem.Space { return c.img }

@@ -16,6 +16,10 @@ import (
 	"dsmtx/internal/wire"
 )
 
+// diagOut receives daemon diagnostics: standard error, or a recorder the
+// package's tests install before any daemon starts.
+var diagOut io.Writer = os.Stderr
+
 // DaemonMain is the spawn-local daemon entry point: bind a listener
 // (loopback/ephemeral unless ListenEnv overrides), advertise it on stdout,
 // serve one coordinator session (a stream of jobs on one control
@@ -28,7 +32,7 @@ func DaemonMain() int {
 	}
 	ln, err := gonet.Listen("tcp", addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsmtxd: %v\n", err)
+		fmt.Fprintf(diagOut, "dsmtxd: %v\n", err)
 		return 1
 	}
 	fmt.Printf("%s%s\n", listenLine, ln.Addr())
@@ -159,7 +163,7 @@ func (d *daemon) dispatch(conn gonet.Conn) {
 			return
 		}
 		if err := m.AcceptData(conn, h); err != nil {
-			fmt.Fprintf(os.Stderr, "dsmtxd: %v\n", err)
+			fmt.Fprintf(diagOut, "dsmtxd: %v\n", err)
 		}
 	default:
 		conn.Close()
@@ -264,7 +268,7 @@ func (d *daemon) control(conn gonet.Conn) int {
 			return 0
 		default:
 			_ = writeCtl(conn, wire.FrameError, errorWire{Error: err.Error()})
-			fmt.Fprintf(os.Stderr, "dsmtxd: %v\n", err)
+			fmt.Fprintf(diagOut, "dsmtxd: %v\n", err)
 			return 1
 		}
 	}
@@ -295,7 +299,7 @@ func (d *daemon) serveJob(conn gonet.Conn) error {
 		Self:  job.Self,
 		Addrs: job.Addrs,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "dsmtxd[%d]: "+format+"\n", append([]any{job.Self}, args...)...)
+			fmt.Fprintf(diagOut, "dsmtxd[%d]: "+format+"\n", append([]any{job.Self}, args...)...)
 		},
 	})
 	d.registerMesh(job.JobID, mesh)

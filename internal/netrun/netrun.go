@@ -72,9 +72,13 @@ type Provider func(spec JobSpec) (ProgramSet, error)
 
 var provider Provider
 
-// SetProvider installs the workload resolver. Called from an init function
-// (internal/workloads registers the benchmark table).
-func SetProvider(p Provider) { provider = p }
+// SetProvider installs the workload resolver and returns the one it
+// replaces. Called from an init function (internal/workloads registers the
+// benchmark table); a test installing its own restores the previous one.
+func SetProvider(p Provider) (prev Provider) {
+	prev, provider = provider, p
+	return prev
+}
 
 // Result is the coordinator's aggregate over all daemons and invocations.
 type Result struct {

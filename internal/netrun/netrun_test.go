@@ -3,9 +3,12 @@ package netrun_test
 import (
 	gonet "net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dsmtx/internal/core"
 	"dsmtx/internal/netrun"
 	"dsmtx/internal/workloads"
 )
@@ -82,9 +85,16 @@ func runWithin(t *testing.T, cl *netrun.Cluster, spec netrun.JobSpec) (netrun.Re
 // the sequential checksum and none may hang: job teardown (the commit
 // daemon closing its mesh right after its final sends) races the next job
 // on every iteration. Half the jobs misspeculate, so recovery crosses the
-// wire too.
+// wire too. No daemon may log a connection retry: on a healthy loopback
+// fleet a retry line would mean a start-up or teardown race.
 func TestSuccessiveJobsVerify(t *testing.T) {
 	const jobs = 50
+	mark := len(netrun.Diagnostics())
+	t.Cleanup(func() { // runs after the fleet's own cleanup has ended its daemons
+		if log := netrun.Diagnostics()[mark:]; strings.Contains(log, "retrying") {
+			t.Errorf("daemons retried a connection on a healthy fleet:\n%s", log)
+		}
+	})
 	cl := localFleet(t, 2)
 	b := mustBench(t, "crc32")
 	want := map[workloads.Input]uint64{}
@@ -140,6 +150,75 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 	if res.Checksum != check {
 		t.Fatalf("checksum %#x after rejected specs, sequential %#x", res.Checksum, check)
+	}
+}
+
+// shadowProbe is crc32 with one more input loaded at the end of Setup,
+// whose fill panics once it has run more often than the job's commit
+// daemon alone needs: the fill count is shared by every daemon of the
+// in-process fleet, so a non-commit daemon filling input in its shadow
+// Setup replay trips it.
+type shadowProbe struct {
+	netrun.Program
+	fills *atomic.Int32
+}
+
+const probeChunks = 8
+
+func (p shadowProbe) Setup(ctx *core.SeqCtx) {
+	p.Program.Setup(ctx)
+	ctx.LoadInput(ctx.Alloc(probeChunks*64), probeChunks, 64, func(i int, buf []byte) []byte {
+		if p.fills.Add(1) > probeChunks {
+			panic("input fill ran in a shadow Setup replay")
+		}
+		clear(buf)
+		return buf
+	})
+}
+
+// TestShadowReplaySkipsInputFill runs crc32 jobs whose Setup loads input
+// with a fill that must not run in a shadow replay; every job must still
+// verify against the sequential crc32 checksum.
+func TestShadowReplaySkipsInputFill(t *testing.T) {
+	var mu sync.Mutex
+	fills := map[uint64]*atomic.Int32{} // per job, keyed by its distinct seed
+	prev := netrun.SetProvider(func(spec netrun.JobSpec) (netrun.ProgramSet, error) {
+		b, err := workloads.ByName(spec.Bench)
+		if err != nil {
+			return netrun.ProgramSet{}, err
+		}
+		mu.Lock()
+		if fills[spec.Seed] == nil {
+			fills[spec.Seed] = new(atomic.Int32)
+		}
+		n := fills[spec.Seed]
+		mu.Unlock()
+		in := workloads.Input{Scale: spec.Scale, MisspecRate: spec.MisspecRate, Seed: spec.Seed}
+		return netrun.ProgramSet{Invocations: 1, New: func(int) netrun.Program {
+			return shadowProbe{Program: b.NewDSMTX(in, 0), fills: n}
+		}}, nil
+	})
+	t.Cleanup(func() { netrun.SetProvider(prev) }) // after the fleet's cleanup
+	cl := localFleet(t, 2)
+	b := mustBench(t, "crc32")
+	for seed := uint64(1); seed <= 3; seed++ {
+		in := workloads.Input{Scale: 1, Seed: seed, MisspecRate: 0.02}
+		_, check, err := workloads.RunSequentialRef(b, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runWithin(t, cl, netrun.JobSpec{
+			Bench: "crc32", Scale: 1, MisspecRate: in.MisspecRate, Seed: seed, Cores: 8,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Checksum != check {
+			t.Fatalf("seed %d: checksum %#x, sequential %#x", seed, res.Checksum, check)
+		}
+		if got := fills[seed].Load(); got != probeChunks {
+			t.Errorf("seed %d: probe input filled %d times, want %d", seed, got, probeChunks)
+		}
 	}
 }
 

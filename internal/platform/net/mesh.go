@@ -240,6 +240,9 @@ type session struct {
 	peerLast wire.Seq // peer's last received seq, from its Hello: replay after this
 	dead     chan struct{}
 	deadOne  sync.Once
+	// bye is set when the peer ended the session with Goodbye: its mesh
+	// for this job is closed, so the link is finished, not lost.
+	bye atomic.Bool
 }
 
 func (s *session) kill() { s.deadOne.Do(func() { close(s.dead) }) }
@@ -475,6 +478,7 @@ func (p *peer) readLoop(s *session) {
 				// ack is cumulative and supersedes it.
 			}
 		case wire.FrameGoodbye:
+			s.bye.Store(true)
 			return
 		default:
 			p.m.abort(fmt.Errorf("net: unexpected frame type %d from peer %d", typ, p.idx))
@@ -497,11 +501,13 @@ func (p *peer) writeLoop() {
 		enc  wire.Encoder
 		fail = func(err error) {
 			// Drop the session; recovery is a redial (dialer) or a fresh
-			// accepted conn (acceptor).
+			// accepted conn (acceptor). A peer that said Goodbye has closed
+			// its mesh and would refuse the redial: nothing to recover.
 			s.kill()
 			s.conn.Close()
+			bye := s.bye.Load()
 			s, bw = nil, nil
-			if p.dialer && p.dialing.CompareAndSwap(false, true) {
+			if p.dialer && !bye && p.dialing.CompareAndSwap(false, true) {
 				go p.dial()
 			}
 			_ = err

@@ -81,14 +81,13 @@ func (p *bzProg) Setup(ctx *core.SeqCtx) {
 	p.output = ctx.Alloc(2*total + int64(p.blocks)*512)
 	p.outLen = ctx.AllocWords(int(p.blocks))
 	p.outCur = ctx.AllocWords(1)
-	img := ctx.Image()
-	for i := uint64(0); i < p.blocks; i++ {
-		data := newRNG(mix(p.seed, i*31)).bytes(bzBlockBytes)
-		if p.errIter[i] {
-			data[0] = 0xFE // triggers the speculated-not-taken error path
+	ctx.LoadInput(p.input, int(p.blocks), bzBlockBytes, func(i int, buf []byte) []byte {
+		newRNG(mix(p.seed, uint64(i)*31)).fill(buf)
+		if p.errIter[uint64(i)] {
+			buf[0] = 0xFE // triggers the speculated-not-taken error path
 		}
-		img.StoreBytes(p.blockAddr(i), data)
-	}
+		return buf
+	})
 	ctx.Store(p.outCur, 0)
 }
 

@@ -98,14 +98,14 @@ func (p *crcProg) Setup(ctx *core.SeqCtx) {
 	p.input = ctx.Alloc(int64(p.files) * crcFileBytes)
 	p.out = ctx.AllocWords(int(p.files))
 	p.acc = ctx.AllocWords(1)
-	img := ctx.Image() // input "files" pre-exist; loading them is not timed
-	for i := uint64(0); i < p.files; i++ {
-		data := newRNG(mix(p.seed, i)).bytes(crcFileBytes)
-		if p.corrupt[i] {
-			data[0] = 0xFF // corrupt-header marker: the speculated-away error path
+	// Input "files" pre-exist; loading them is not timed.
+	ctx.LoadInput(p.input, int(p.files), crcFileBytes, func(i int, buf []byte) []byte {
+		newRNG(mix(p.seed, uint64(i))).fill(buf)
+		if p.corrupt[uint64(i)] {
+			buf[0] = 0xFF // corrupt-header marker: the speculated-away error path
 		}
-		img.StoreBytes(p.fileAddr(i), data)
-	}
+		return buf
+	})
 	ctx.Store(p.acc, 0)
 }
 

@@ -124,11 +124,12 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // float returns a value in [0, 1).
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// bytes fills a deterministic pseudo-random buffer with text-like byte
-// statistics: literal letters interleaved with repeated phrases, so
-// compressors find real matches (roughly 2x compressible).
-func (r *rng) bytes(n int) []byte {
-	b := make([]byte, n)
+// fill overwrites b with a deterministic pseudo-random stream with text-like
+// byte statistics: literal letters interleaved with repeated phrases, so
+// compressors find real matches (roughly 2x compressible). Phrases repeat
+// from earlier in b itself, so the stream depends on where b starts.
+func (r *rng) fill(b []byte) {
+	n := len(b)
 	i := 0
 	for i < n {
 		if i > 64 && r.intn(2) == 0 {
@@ -143,7 +144,6 @@ func (r *rng) bytes(n int) []byte {
 		b[i] = byte('a' + r.intn(26))
 		i++
 	}
-	return b
 }
 
 // misspecList returns the corrupted iterations in ascending order (for

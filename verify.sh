@@ -38,7 +38,9 @@ go test -race ./internal/engine/ ./cmd/dsmtxd/ ./cmd/dsmtxload/
 go test -race ./internal/platform/... ./cmd/dsmtxrun/
 # The netrun coordinator and daemons run in-process here: one loopback
 # fleet serves 50 successive crc32 jobs (half with misspeculation), each
-# under a deadline, so a job-teardown race shows as a failure, not a hang.
+# under a deadline, so a job-teardown race shows as a failure, not a hang,
+# and a logged connection retry fails the run. Another fleet runs crc32
+# with an input fill that trips if a shadow Setup replay calls it.
 go test -race ./internal/netrun/
 # Backend equivalence covers vtime, host, and net: the Net tests re-exec
 # the (race-instrumented) test binary as a two-daemon loopback fleet, so
@@ -66,4 +68,14 @@ GOMAXPROCS=8 go test -race -count=1 ./internal/workloads/ ./internal/core/ -run 
 # run checks the same contract on the simulator).
 GOMAXPROCS=2 go test -race -count=1 ./internal/platform/... -run TestWaitConformance
 GOMAXPROCS=8 go test -race -count=1 ./internal/platform/... -run TestWaitConformance
+# Setup loads job input through SeqCtx.LoadInput, which fans pure fills over
+# min(GOMAXPROCS, chunks) goroutines and serializes their stores into one
+# image. The committed image right after Setup must stay byte-identical to
+# the pinned hashes at any width (1 = no helper goroutines), rng.fill must
+# match the old generator, and a shadow Setup replay must fill nothing while
+# allocating exactly what the real Setup does.
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -race -count=1 ./internal/core/ ./internal/workloads/ \
+        -run 'TestLoadInput|TestShadowSetup|TestSetupInputByteIdentity|TestRNGFillMatchesBytes|TestGzipInputMemoBounded'
+done
 echo "verify: OK"
