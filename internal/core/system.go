@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dsmtx/internal/cluster"
 	"dsmtx/internal/faults"
@@ -187,6 +188,16 @@ type System struct {
 	hbDark    []bool
 	hbStopped bool
 	hbCancel  func()
+
+	// doomFrom is the doom horizon of the live backends: 1 + the lowest MTX
+	// a worker flagged as misspeculated in the current epoch, 0 when none.
+	// The recovery that follows restarts at or before that MTX, so every
+	// later MTX of the epoch is discarded and workers start none of them
+	// (see workerNode.stageLoop). squash gates it to concurrent platforms:
+	// vtime never sets it, so the paper-model timing is untouched; on net
+	// each daemon's System holds its own horizon over its own ranks.
+	doomFrom atomic.Uint64
+	squash   bool
 }
 
 // NewSystem validates the configuration and builds the (unstarted) system.
@@ -258,6 +269,7 @@ func NewSystem(cfg Config, prog Program, initialImage *mem.Image) (*System, erro
 		}
 		s.plat = vtime.New(s.kernel, s.mach)
 	}
+	s.squash = s.plat.Concurrent()
 	s.world = mpi.NewWorld(s.plat, cfg.MPICost)
 	s.buildQueues()
 	for r := 0; r < cfg.TotalCores; r++ {
@@ -492,6 +504,29 @@ func (s *System) bindTracer() {
 	for _, q := range s.syncQ {
 		q.Instrument(s.tr)
 	}
+}
+
+// flagDoomed lowers the doom horizon to just past iter (a CAS-min): iter
+// misspeculated, so every later MTX of this epoch is doomed. A no-op on vtime.
+func (s *System) flagDoomed(iter uint64) {
+	if !s.squash {
+		return
+	}
+	for {
+		cur := s.doomFrom.Load()
+		if cur != 0 && cur <= iter+1 {
+			return
+		}
+		if s.doomFrom.CompareAndSwap(cur, iter+1) {
+			return
+		}
+	}
+}
+
+// doomed reports whether iter lies past the doom horizon of this epoch.
+func (s *System) doomed(iter uint64) bool {
+	h := s.doomFrom.Load()
+	return h != 0 && iter >= h
 }
 
 // pageSrvCount is the number of page-server processes: one per commit shard
@@ -793,6 +828,7 @@ func (s *System) stopHeartbeats() {
 // Run executes the parallel invocation to completion and reports the
 // result. The commit unit's final memory is available via CommitImage.
 func (s *System) Run() (Result, error) {
+	s.doomFrom.Store(0) // a warm system may carry a horizon from a loop exit
 	for k := 0; k < s.cfg.commitShards(); k++ {
 		s.cus = append(s.cus, newCUNode(s, k))
 	}

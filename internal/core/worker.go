@@ -83,6 +83,12 @@ type workerNode struct {
 	crashAdv     platform.Duration
 	crashBlk     platform.Duration
 
+	// squashed marks an epochLoop that stopped at the doom horizon rather
+	// than at the loop exit; cDoomed counts those stops (live backends only,
+	// so vtime -metrics output is unchanged).
+	squashed bool
+	cDoomed  *trace.Counter
+
 	epoch       uint64
 	epochBase   uint64 // first iteration of the current epoch
 	nextIter    uint64
@@ -119,8 +125,19 @@ func (w *workerNode) run(p platform.Proc) {
 		if w.epochLoop() {
 			// Loop exit emitted — but the commit unit may still detect a
 			// misspeculation in an earlier, uncommitted iteration and
-			// rewind us. Park until its final verdict.
-			if w.awaitDoneOrRecovery() {
+			// rewind us. Park until its final verdict. A stop at the doom
+			// horizon waits here too, for a recovery that is certain unless
+			// the flagged MTX lies past the loop exit; the wait is charged
+			// to the recovery it ends in.
+			start, adv0, blk0 := w.proc.Now(), w.proc.Advanced(), w.proc.Blocked()
+			done := w.awaitDoneOrRecovery()
+			if w.squashed && !done {
+				w.recWall += w.proc.Now() - start
+				w.recAdv += w.proc.Advanced() - adv0
+				w.recBlk += w.proc.Blocked() - blk0
+			}
+			w.squashed = false
+			if done {
 				return
 			}
 		}
@@ -167,6 +184,9 @@ func (w *workerNode) bind() {
 	w.img.ReleaseOnReset(true)
 	w.img.Instrument(w.sys.tr.Metrics())
 	w.arena = uva.NewArena(w.tid + 1)
+	if w.sys.squash {
+		w.cDoomed = w.sys.tr.Metrics().Counter("core.subtx.doomed")
+	}
 
 	for key, q := range w.sys.edgeQ {
 		src, dst := key[0], key[1]
@@ -312,8 +332,8 @@ func (c *coaClient) fetch(sys *System, comm *mpi.Comm, img *mem.Image, id uva.Pa
 	return pages[0]
 }
 
-// epochLoop runs iterations until loop termination (true) or until a
-// recovery broadcast unwinds it (false).
+// epochLoop runs iterations until loop termination or a stop at the doom
+// horizon (true), or until a recovery broadcast unwinds it (false).
 func (w *workerNode) epochLoop() (terminated bool) {
 	recovered := false
 	func() {
@@ -353,6 +373,10 @@ func (w *workerNode) stageLoop() bool {
 			}
 			iter = it
 		}
+		if w.sys.doomed(iter) {
+			w.stopDoomed(first, iter)
+			return true
+		}
 		w.curIter = iter
 		if w.feedsRouted {
 			w.chooseRoute(iter)
@@ -375,6 +399,26 @@ func (w *workerNode) stageLoop() bool {
 		w.poisoned = false
 		w.selfMisspec = false
 	}
+}
+
+// stopDoomed ends this worker's epoch before iter, which lies past the doom
+// horizon: the recovery that follows discards it, and running it would take
+// CPU from the earlier MTXs the commit unit still needs. The worker then
+// waits in run for that recovery, or for done when the flagged MTX lies past
+// the loop exit. A first-stage worker ends its streams with a terminate
+// marker, as at the loop exit, because the commit unit's exit drain needs
+// one from every worker. A later stage never sees an MTX past the loop exit,
+// and a terminate mid-MTX would break try-commit's in-order walk, so it only
+// flushes its batched markers.
+func (w *workerNode) stopDoomed(first bool, iter uint64) {
+	w.squashed = true
+	w.cDoomed.Inc()
+	if first {
+		w.curIter = iter
+		w.emitTerminate()
+		return
+	}
+	w.flushMarkers()
 }
 
 // nextAssigned reports the smallest iteration >= nextIter this worker owns
@@ -550,6 +594,7 @@ func (w *workerNode) chooseRoute(iter uint64) {
 // uncommitted values reach later subTXs promptly (mtx_end).
 func (w *workerNode) endIter(iter uint64) {
 	if w.poisoned || w.selfMisspec {
+		w.sys.flagDoomed(iter)
 		w.sys.tr.Instant(trace.InstMisspec, w.rank, iter, 0, 0)
 		miss := Entry{Kind: entMisspec, MTX: iter}
 		for _, dstStage := range w.outStages {
@@ -863,6 +908,10 @@ func (w *workerNode) doRecovery() {
 	w.poisoned = false
 	w.selfMisspec = false
 	w.cuMask, w.cuMin = 0, 0
+	// Clear the doom horizon for the new epoch. Every worker left its stage
+	// loop before B1, so no flag of the old epoch can land after this, and
+	// each worker clears it (idempotently) before any resumes at B3.
+	w.sys.doomFrom.Store(0)
 
 	w.comm.Barrier(w.sys.allRanks) // commit unit has re-executed; resume
 

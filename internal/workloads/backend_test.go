@@ -19,9 +19,10 @@ import (
 // MTX counts. They are part of the -race gate in verify.sh, which also
 // makes them the data-race audit of the host execution path.
 
-// checkBackendEquivalence runs one benchmark on both backends at the same
-// core count and cross-checks them against the sequential reference.
-func checkBackendEquivalence(t *testing.T, name string, in Input, cores int) {
+// checkBackendEquivalence runs one benchmark's parallelization on both
+// backends at the same core count and cross-checks them against the
+// sequential reference.
+func checkBackendEquivalence(t *testing.T, name string, paradigm Paradigm, in Input, cores int) {
 	t.Helper()
 	b, err := ByName(name)
 	if err != nil {
@@ -31,11 +32,11 @@ func checkBackendEquivalence(t *testing.T, name string, in Input, cores int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres, err := RunParallel(b, in, DSMTX, cores, nil)
+	vres, err := RunParallel(b, in, paradigm, cores, nil)
 	if err != nil {
 		t.Fatalf("vtime: %v", err)
 	}
-	hres, err := RunParallel(b, in, DSMTX, cores, func(cfg *core.Config) {
+	hres, err := RunParallel(b, in, paradigm, cores, func(cfg *core.Config) {
 		cfg.Backend = core.BackendHost
 	})
 	if err != nil {
@@ -65,17 +66,33 @@ func TestBackendEquivalenceCRC32(t *testing.T) {
 	// MisspecRate forces real misspeculation/recovery cycles — four-phase
 	// recovery (barriers, queue flush, SEQ re-execution, snapshot refresh)
 	// runs live on goroutines and must still converge to the same state.
-	checkBackendEquivalence(t, "crc32", Input{Scale: 1, Seed: 42, MisspecRate: 0.02}, 8)
+	checkBackendEquivalence(t, "crc32", DSMTX, Input{Scale: 1, Seed: 42, MisspecRate: 0.02}, 8)
+}
+
+// The misspeculating runs below use 16 ranks, more than the cores of most
+// test machines, so stopped workers, recoveries and the doom horizon (the
+// live backends' early squash) interleave under oversubscription.
+
+func TestBackendEquivalenceCRC32TLSMisspec(t *testing.T) {
+	// TLS: one self-scheduled DOALL stage on a sync ring, so a successor may
+	// wait on the ring value of a predecessor stopped at the horizon.
+	checkBackendEquivalence(t, "crc32", TLS, Input{Scale: 1, Seed: 42, MisspecRate: 0.02}, 16)
+}
+
+func TestBackendEquivalenceBzip2Misspec(t *testing.T) {
+	// Spec-DSWP [S,DOALL,S]: the routed DOALL stage and the sequential
+	// write stage stop at the horizon mid-pipeline.
+	checkBackendEquivalence(t, "256.bzip2", DSMTX, Input{Scale: 1, Seed: 42, MisspecRate: 0.02}, 16)
 }
 
 func TestBackendEquivalenceBlackscholes(t *testing.T) {
-	checkBackendEquivalence(t, "blackscholes", Input{Scale: 1, Seed: 42}, 8)
+	checkBackendEquivalence(t, "blackscholes", DSMTX, Input{Scale: 1, Seed: 42}, 8)
 }
 
 func TestBackendEquivalenceGzip(t *testing.T) {
 	// A pipelined (multi-stage) plan: exercises cross-stage forwarding and
 	// route records over the host mailboxes.
-	checkBackendEquivalence(t, "164.gzip", Input{Scale: 1, Seed: 42}, 11)
+	checkBackendEquivalence(t, "164.gzip", DSMTX, Input{Scale: 1, Seed: 42}, 11)
 }
 
 // TestHostBackendRejectsVTimeOnlyFeatures pins the validation boundary:
